@@ -2,9 +2,10 @@
 
 ``repro.algos`` turns the serve layer into a testbed for the
 consistent-updates design space: every algorithm (P4Update SL/DL,
-ez-Segway, Dionysus-style Central, and the new augmentation/synthesis
-strategies) is wrapped behind one runtime surface the
-:class:`~repro.serve.orchestrator.ServiceOrchestrator` already speaks.
+ez-Segway, Dionysus-style Central, and the augmentation/synthesis
+strategies) offers one runtime surface, which the
+:class:`~repro.serve.orchestrator.ServiceOrchestrator`, ops sessions
+and :func:`repro.harness.experiment.run_experiment` drive.
 
 The contract has three parts:
 
@@ -21,11 +22,14 @@ The contract has three parts:
    ``current_path`` / ``pending_version`` / ``parked`` so the
    orchestrator and live checker can observe converged state.
 
-Strategies that cannot natively speak this contract (ez-Segway,
-Central) are adapted by facades in :mod:`repro.algos.baseline`;
-genuinely new behaviour lives in :mod:`repro.algos.augmented`
-(helper-path augmentation) and :mod:`repro.algos.synthesis`
-(greedy happens-before ordering).
+Every controller reports completion itself: P4Update on the egress
+UFM, ez-Segway once every segment's Done notification arrived
+(:mod:`repro.baselines.ezsegway`), Central at the end of the round
+that deployed a flow's last flip (:mod:`repro.baselines.central`).
+No strategy infers completion from the trace.  The forced SL/DL
+strategies (:mod:`repro.algos.p4u`), helper-path augmentation
+(:mod:`repro.algos.augmented`) and greedy happens-before ordering
+(:mod:`repro.algos.synthesis`) wrap a P4Update controller.
 """
 
 from __future__ import annotations
@@ -67,12 +71,12 @@ class StrategyController(Protocol):
 
 @runtime_checkable
 class StrategyRuntime(Protocol):
-    """Deployment surface ``run_service`` drives.
+    """Deployment surface ``run_service`` and ``run_experiment`` drive.
 
-    Mirrors :class:`repro.harness.build.P4UpdateDeployment`; facade
-    deployments delegate unknown attributes to the wrapped deployment
-    so chaos event application (which only touches ``.network`` and
-    ``.params``) works unchanged.
+    Mirrors :class:`repro.harness.build.P4UpdateDeployment`; the
+    baseline deployments of :mod:`repro.harness.baselines_build`
+    implement it directly, and chaos event application only touches
+    ``.network`` and ``.params``.
     """
 
     topology: Any
@@ -129,7 +133,7 @@ class StrategyInfo:
 class _Delegating:
     """Mixin: forward unknown attribute reads to ``self._inner``.
 
-    Keeps facade deployments/controllers compatible with every
+    Keeps wrapping controllers/deployments compatible with every
     consumer that only *reads* the wrapped object (chaos event
     application, telemetry, the live checker's trace taps).
     """

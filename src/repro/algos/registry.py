@@ -48,15 +48,15 @@ def _build_p4update_dl(topology: Any, params: Any = None, obs: Any = None) -> An
 
 
 def _build_ezsegway(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.baseline import build_ezsegway_facade
+    from repro.harness.baselines_build import build_ezsegway_network
 
-    return build_ezsegway_facade(topology, params=params, obs=obs)
+    return build_ezsegway_network(topology, params=params, obs=obs)
 
 
 def _build_central(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.baseline import build_central_facade
+    from repro.harness.baselines_build import build_central_network
 
-    return build_central_facade(topology, params=params, obs=obs)
+    return build_central_network(topology, params=params, obs=obs)
 
 
 def _build_augmented(topology: Any, params: Any = None, obs: Any = None) -> Any:
@@ -78,7 +78,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
             name="p4update",
             description=(
                 "P4Update with the §7.5 SL/DL selection rule (the repo's "
-                "default deployment, byte-identical to pre-registry runs)"
+                "default deployment)"
             ),
             builder=_build_p4update,
             decentralized=True,
@@ -98,9 +98,10 @@ STRATEGIES: dict[str, StrategyInfo] = {
         StrategyInfo(
             name="ezsegway",
             description=(
-                "ez-Segway decentralized segment flipping behind the "
-                "strategy facade (capacity deferrals retry forever — "
-                "deadlocked orders surface as unfinished requests)"
+                "ez-Segway decentralized segment flipping; the controller "
+                "reports completion once every segment's Done arrived "
+                "(capacity deferrals retry forever — deadlocked orders "
+                "surface as unfinished requests)"
             ),
             builder=_build_ezsegway,
             decentralized=True,
@@ -108,8 +109,9 @@ STRATEGIES: dict[str, StrategyInfo] = {
         StrategyInfo(
             name="central",
             description=(
-                "Dionysus-style central round scheduler behind the "
-                "strategy facade (a stuck round surfaces as unfinished)"
+                "Dionysus-style central round scheduler; each round "
+                "flips a jointly safe set across all pending flows (a "
+                "stuck round surfaces as unfinished)"
             ),
             builder=_build_central,
         ),

@@ -7,6 +7,12 @@ commands, and waits for every acknowledgement before computing the
 next round.  Every acknowledgement passes through the single-threaded
 controller service queue, which is where the paper's "queuing delay
 and processing delay" ([40]) bites.
+
+Each round plans flips for every pending flow, so any number of flow
+updates may be in flight at once.  A flow's update is complete at the
+end of the round that deployed its last flip; that is where the
+controller reports ``("completed", flow_id, version)`` to its
+strategy-contract listeners.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.baselines.base import BaselineController, BaselineFlowRecord
 from repro.consistency.state import ForwardingState
 from repro.params import SimParams
 from repro.sim.node import Node
-from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
+from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
@@ -97,16 +104,26 @@ class CentralSwitch(Node):
         )
 
 
+@dataclass(frozen=True)
+class CentralPreparedUpdate:
+    """One planned flow update: the rule changes it still needs."""
+
+    flow_id: int
+    version: int
+    new_path: tuple[str, ...]
+    # (node, new next hop) for every node whose deployed rule differs.
+    changes: tuple[tuple[str, Optional[str]], ...]
+
+
 @dataclass
 class _PendingFlowUpdate:
-    flow: Flow
-    old_path: list[str]
+    version: int
     new_path: list[str]
     # node -> new next hop, still to be deployed.
     remaining: dict[str, Optional[str]]
 
 
-class CentralController(Node):
+class CentralController(BaselineController):
     """Round-based centralized update scheduler."""
 
     def __init__(
@@ -117,13 +134,10 @@ class CentralController(Node):
         rng: Optional[np.random.Generator] = None,
         congestion_aware: bool = False,
     ) -> None:
-        super().__init__(name)
-        self.topology = topology
-        self.params = params if params is not None else SimParams()
-        self.rng = rng if rng is not None else self.params.rng()
+        super().__init__(name, topology, params=params, rng=rng)
         self.congestion_aware = congestion_aware
         self._round_ids = itertools.count(1)
-        self.flows: dict[int, Flow] = {}
+        self._versions = itertools.count(1)
         # The controller's model of the deployed state.
         self.deployed: dict[int, dict[str, str]] = {}     # flow -> node -> hop
         self.flow_endpoints: dict[int, tuple[str, str]] = {}
@@ -134,51 +148,57 @@ class CentralController(Node):
         self._outstanding_acks: set[tuple[str, int]] = set()
         self._current_round: Optional[int] = None
 
-    def control_service_time(self) -> float:
-        return self.params.controller_service.sample(self.rng)
-
-    def control_queue_delay(self) -> float:
-        util = self.params.controller_background_util
-        if util <= 0:
-            return 0.0
-        mean_wait = util / (1.0 - util) * self.params.controller_service.value
-        return float(self.rng.exponential(mean_wait))
-
     # -- bootstrap -------------------------------------------------------------
 
-    def register_flow(self, flow: Flow) -> None:
-        if flow.old_path is None:
-            raise ValueError("flow needs an initial path")
-        self.flows[flow.flow_id] = flow
-        path = flow.old_path
+    def register_flow(self, flow: Flow) -> BaselineFlowRecord:
+        record = super().register_flow(flow)
+        path = record.current_path
         hops = {a: b for a, b in zip(path, path[1:])}
         hops[path[-1]] = LOCAL_DELIVER
         self.deployed[flow.flow_id] = hops
         self.flow_endpoints[flow.flow_id] = (path[0], path[-1])
+        return record
 
-    # -- update entry point --------------------------------------------------------
+    # -- update entry points -------------------------------------------------------
 
-    def update_flow(self, flow_id: int, new_path: list[str]) -> None:
-        flow = self.flows[flow_id]
+    def prepare_update(
+        self, flow_id: int, new_path: list[str]
+    ) -> CentralPreparedUpdate:
+        """Diff ``new_path`` against the deployed rules of the flow."""
         old_hops = self.deployed[flow_id]
         new_hops: dict[str, Optional[str]] = {
             a: b for a, b in zip(new_path, new_path[1:])
         }
         new_hops[new_path[-1]] = None
-        remaining = {
-            node: hop
+        changes = tuple(
+            (node, hop)
             for node, hop in new_hops.items()
             if old_hops.get(node) != (hop if hop is not None else LOCAL_DELIVER)
-        }
-        self.pending[flow_id] = _PendingFlowUpdate(
-            flow=flow,
-            old_path=list(self.flows[flow_id].old_path or []),
-            new_path=list(new_path),
-            remaining=remaining,
         )
-        self.update_sent_at[flow_id] = self.now
+        version = next(self._versions)
+        self._mark_pending(flow_id, version, new_path)
+        return CentralPreparedUpdate(
+            flow_id=flow_id, version=version,
+            new_path=tuple(new_path), changes=changes,
+        )
+
+    def push_update(self, prepared: CentralPreparedUpdate) -> None:
+        """Hand the update to the round scheduler (replacing any update
+        of the flow still pending)."""
+        self.pending[prepared.flow_id] = _PendingFlowUpdate(
+            version=prepared.version,
+            new_path=list(prepared.new_path),
+            remaining=dict(prepared.changes),
+        )
+        self.update_sent_at[prepared.flow_id] = self.now
         if self._current_round is None:
             self._start_round()
+
+    def update_flow(self, flow_id: int, new_path: list[str]) -> CentralPreparedUpdate:
+        """Prepare and immediately push an update."""
+        prepared = self.prepare_update(flow_id, new_path)
+        self.push_update(prepared)
+        return prepared
 
     # -- round computation -------------------------------------------------------------
 
@@ -211,7 +231,7 @@ class CentralController(Node):
         """
         load: dict[tuple[str, str], float] = {}
         for flow_id in self.deployed:
-            size = self.flows[flow_id].size
+            size = self.flow_db[flow_id].flow.size
             edges: set[tuple[str, str]] = set()
             confirmed = self._walk(flow_id, self.deployed[flow_id])
             if confirmed is not None:
@@ -311,7 +331,7 @@ class CentralController(Node):
             self.send_control(
                 RuleCommand(
                     target=node, flow_id=flow_id, round_id=round_id,
-                    next_hop=hop, flow_size=self.flows[flow_id].size,
+                    next_hop=hop, flow_size=self.flow_db[flow_id].flow.size,
                 )
             )
 
@@ -329,11 +349,9 @@ class CentralController(Node):
             if not pending.remaining
         ]
         for flow_id in finished:
-            del self.pending[flow_id]
+            version = self.pending.pop(flow_id).version
             self.update_done_at[flow_id] = self.now
-            self.network.trace.record(
-                self.now, KIND_UPDATE_DONE, self.name, flow=flow_id,
-            )
+            self._finish_update(flow_id, version)
         self._current_round = None
         if self.pending:
             self._start_round()

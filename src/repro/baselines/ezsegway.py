@@ -25,6 +25,9 @@ the Fig. 8b control-plane cost.
 Consecutive updates of the same flow are serialized by the controller
 (it waits for the completion notification before pushing the next
 update) — the behaviour §4.2 contrasts with P4Update's fast-forward.
+The update is complete once every segment's Done notification arrived;
+that is where the controller reports ``("completed", flow_id,
+update_id)`` to its strategy-contract listeners.
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from typing import Any, Optional
 import networkx as nx
 import numpy as np
 
+from repro.baselines.base import BaselineController
 from repro.consistency.state import ForwardingState
 from repro.core.labeling import distance_labels
 from repro.core.segmentation import Segment, compute_segments
 from repro.params import SimParams
 from repro.sim.node import Node
-from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
+from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
@@ -123,6 +127,11 @@ class EzPreparedUpdate:
     update_id: int
     segments: tuple[Segment, ...]
     roles: tuple[RoleMessage, ...]
+
+    @property
+    def version(self) -> int:
+        """The strategy-contract handle: the ez-Segway update id."""
+        return self.update_id
 
 
 def _ez_classify_in_loop(old_path: list[str], segment: Segment) -> bool:
@@ -684,7 +693,7 @@ class EzSegwaySwitch(Node):
             self._drive_chain(role)
 
 
-class EzSegwayController(Node):
+class EzSegwayController(BaselineController):
     """ez-Segway controller: pushes role messages, serializes updates."""
 
     def __init__(
@@ -694,36 +703,54 @@ class EzSegwayController(Node):
         params: Optional[SimParams] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__(name)
-        self.topology = topology
-        self.params = params if params is not None else SimParams()
-        self.rng = rng if rng is not None else self.params.rng()
+        super().__init__(name, topology, params=params, rng=rng)
         self._update_ids = itertools.count(1)
-        self.flows: dict[int, Flow] = {}
-        self.current_paths: dict[int, list[str]] = {}
         self.update_sent_at: dict[tuple[int, int], float] = {}
         self.update_done_at: dict[tuple[int, int], float] = {}
         self.active_updates: dict[int, int] = {}      # flow -> update_id
-        self._queued: dict[int, list] = {}            # serialized updates
+        # Prepared updates waiting for the flow's ongoing one (§4.2).
+        self._queued: dict[int, list[EzPreparedUpdate]] = {}
         # (flow, update) -> number of segments expected / reported.
         self._expected_segments: dict[tuple[int, int], int] = {}
         self._done_segments: dict[tuple[int, int], set[int]] = {}
 
-    def control_service_time(self) -> float:
-        return self.params.controller_service.sample(self.rng)
-
-    def control_queue_delay(self) -> float:
-        util = self.params.controller_background_util
-        if util <= 0:
-            return 0.0
-        mean_wait = util / (1.0 - util) * self.params.controller_service.value
-        return float(self.rng.exponential(mean_wait))
-
-    def register_flow(self, flow: Flow) -> None:
-        self.flows[flow.flow_id] = flow
-        self.current_paths[flow.flow_id] = list(flow.old_path or [])
-
     # -- update pushing -------------------------------------------------------------
+
+    def prepare_update(
+        self,
+        flow_id: int,
+        new_path: list[str],
+        move_ranks: Optional[dict] = None,
+    ) -> EzPreparedUpdate:
+        """Segment, classify and encode one flow update (the Fig. 8a
+        cost); ``move_ranks`` is the congestion dependency graph's
+        static move order (Fig. 8b).
+
+        The update is planned from the path of the flow's latest
+        prepared update, so one queued behind an ongoing update starts
+        where that one ends.
+        """
+        record = self.flow_db[flow_id]
+        prepared = prepare_ez_update(
+            record.flow, record.pending_path or record.current_path, new_path,
+            next(self._update_ids), move_ranks,
+        )
+        self._mark_pending(flow_id, prepared.update_id, new_path)
+        return prepared
+
+    def push_update(self, prepared: EzPreparedUpdate) -> None:
+        """Send the role messages, or queue them while the flow has an
+        ongoing update (ez-Segway waits for it to finish, §4.2)."""
+        if prepared.flow_id in self.active_updates:
+            self._queued.setdefault(prepared.flow_id, []).append(prepared)
+            return
+        key = (prepared.flow_id, prepared.update_id)
+        self.active_updates[prepared.flow_id] = prepared.update_id
+        self.update_sent_at[key] = self.now
+        self._expected_segments[key] = len(prepared.segments)
+        self._done_segments[key] = set()
+        for role in prepared.roles:
+            self.send_control(role)
 
     def update_flow(
         self,
@@ -731,28 +758,12 @@ class EzSegwayController(Node):
         new_path: list[str],
         move_ranks: Optional[dict] = None,
     ) -> int:
-        """Prepare and push (or queue, if one is ongoing) an update."""
-        if flow_id in self.active_updates:
-            # ez-Segway waits for the ongoing update to finish (§4.2).
-            self._queued.setdefault(flow_id, []).append((new_path, move_ranks))
-            return -1
-        return self._push(flow_id, new_path, move_ranks)
-
-    def _push(self, flow_id: int, new_path: list[str], move_ranks) -> int:
-        flow = self.flows[flow_id]
-        old_path = self.current_paths[flow_id]
-        update_id = next(self._update_ids)
-        prepared = prepare_ez_update(
-            flow, old_path, new_path, update_id, move_ranks
-        )
-        self.active_updates[flow_id] = update_id
-        self.update_sent_at[(flow_id, update_id)] = self.now
-        self.current_paths[flow_id] = list(new_path)
-        self._expected_segments[(flow_id, update_id)] = len(prepared.segments)
-        self._done_segments[(flow_id, update_id)] = set()
-        for role in prepared.roles:
-            self.send_control(role)
-        return update_id
+        """Prepare and push an update; returns its update id, or -1
+        when it was queued behind the flow's ongoing update."""
+        queued = flow_id in self.active_updates
+        prepared = self.prepare_update(flow_id, new_path, move_ranks)
+        self.push_update(prepared)
+        return -1 if queued else prepared.update_id
 
     # -- feedback ----------------------------------------------------------------------
 
@@ -769,14 +780,12 @@ class EzSegwayController(Node):
         self.update_done_at[key] = self.now
         if self.active_updates.get(message.flow_id) == message.update_id:
             del self.active_updates[message.flow_id]
-            self.network.trace.record(
-                self.now, KIND_UPDATE_DONE, self.name,
-                flow=message.flow_id, update=message.update_id,
+            self._finish_update(
+                message.flow_id, message.update_id, update=message.update_id
             )
             queue = self._queued.get(message.flow_id)
             if queue:
-                new_path, move_ranks = queue.pop(0)
-                self._push(message.flow_id, new_path, move_ranks)
+                self.push_update(queue.pop(0))
 
     # -- queries ------------------------------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""The experiment runner: one function per system, one result type.
+"""The experiment runner: one body for every system, one result type.
 
-Every runner builds a fresh deployment, bootstraps the scenario's
-flows on their old paths, triggers all updates at the same simulated
-instant, runs to quiescence, and reports per-flow and total update
-times as the paper measures them ("from the sending of UIM messages to
-the receiving of UFM messages"; for multiple flows "the completion
-time of the last flow update").
+Each run builds a fresh deployment through the strategy registry,
+bootstraps the scenario's flows on their old paths, prepares every
+update, pushes them all at the same simulated instant, runs to
+quiescence, and reports per-flow and total update times as the paper
+measures them ("from the sending of UIM messages to the receiving of
+UFM messages"; for multiple flows "the completion time of the last
+flow update").
 """
 
 from __future__ import annotations
@@ -14,21 +15,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
+from repro.algos.registry import build_strategy_runtime
 from repro.baselines.ezsegway import congestion_dependency_graph
 from repro.consistency import LiveChecker
-from repro.core.messages import UpdateType
-from repro.harness.baselines_build import (
-    build_central_network,
-    build_ezsegway_network,
-)
-from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
 from repro.sim.trace import KIND_RULE_CHANGE
 
+#: The registered strategies a one-shot experiment runs (augmentation
+#: and synthesis act through the serve orchestrator's queue).
 SYSTEMS = ("p4update", "p4update-sl", "p4update-dl", "ezsegway", "central")
 
 
@@ -127,36 +123,11 @@ def run_experiment(
     metrics and phase spans; the default no-op context adds no work to
     the hot path and leaves simulated time untouched.
     """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
     obs = obs if obs is not None else NULL_OBS
-    if system in ("p4update", "p4update-sl", "p4update-dl"):
-        return _run_p4update(
-            system, scenario, params, congestion_aware, check_consistency, obs
-        )
-    if system == "ezsegway":
-        return _run_ezsegway(scenario, params, congestion_aware, check_consistency, obs)
-    if system == "central":
-        return _run_central(scenario, params, congestion_aware, check_consistency, obs)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def _update_type_for(system: str) -> Optional[UpdateType]:
-    if system == "p4update-sl":
-        return UpdateType.SINGLE
-    if system == "p4update-dl":
-        return UpdateType.DUAL
-    return None                             # auto (§7.5 strategy)
-
-
-def _run_p4update(
-    system: str,
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
     params = params if params is not None else SimParams()
-    dep = build_p4update_network(scenario.topology, params=params, obs=obs)
+    dep = build_strategy_runtime(system, scenario.topology, params=params, obs=obs)
     dep.set_congestion_aware(congestion_aware)
     checker = (
         LiveChecker(dep.forwarding_state, dep.network.trace)
@@ -164,30 +135,32 @@ def _run_p4update(
     )
     for flow in scenario.flows:
         dep.install_flow(flow)
+    controller = dep.controller
 
-    update_type = _update_type_for(system)
     with obs.spans.span(
         "experiment", system=system, topology=scenario.topology.name,
         flows=len(scenario.flows),
     ):
         started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
         with obs.spans.span("preparation"):
+            prepare_args: dict = {}
+            if system == "ezsegway" and congestion_aware:
+                prepare_args["move_ranks"] = _ezsegway_move_ranks(dep, scenario, obs)
             prepared = [
-                dep.controller.prepare_update(
-                    flow.flow_id, list(flow.new_path or []), update_type,
-                    congestion_aware=congestion_aware,
+                controller.prepare_update(
+                    flow.flow_id, list(flow.new_path or []), **prepare_args
                 )
                 for flow in scenario.flows
             ]
         prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
         with obs.spans.span("uim_fanout"):
             for update in prepared:
-                dep.controller.push_update(update)
+                controller.push_update(update)
         with obs.spans.span("run_to_quiescence"):
             dep.run()
 
         with obs.spans.span("analysis"):
-            completed = dep.controller.all_updates_complete()
+            completed = controller.all_updates_complete()
             per_flow = _uniform_completion_times(dep.network, scenario, params)
             durations = list(per_flow.values())
     return ExperimentResult(
@@ -198,127 +171,21 @@ def _run_p4update(
         prep_time_s=prep_time,
         consistency_ok=checker.ok if checker else True,
         violations=len(checker.violations) if checker else 0,
-        alarms=len(dep.controller.alarms),
+        alarms=len(getattr(controller, "alarms", ())),
+        rounds=getattr(controller, "rounds_executed", None),
     )
 
 
-def _run_ezsegway(
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
-    params = params if params is not None else SimParams()
-    dep = build_ezsegway_network(scenario.topology, params=params, obs=obs)
-    dep.set_congestion_aware(congestion_aware)
-    checker = (
-        LiveChecker(dep.forwarding_state, dep.network.trace)
-        if check_consistency else None
-    )
-    for flow in scenario.flows:
-        dep.install_flow(flow)
-
-    # Control-plane preparation: segmentation happens inside
-    # update_flow; the congestion dependency graph is the extra
-    # centralized cost (Fig. 8b).
-    with obs.spans.span(
-        "experiment", system="ezsegway", topology=scenario.topology.name,
-        flows=len(scenario.flows),
-    ):
-        started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("preparation"):
-            move_ranks = None
-            if congestion_aware:
-                with obs.spans.span("dependency_computation"):
-                    capacities = {
-                        frozenset((e.a, e.b)): e.capacity
-                        for e in scenario.topology.edges
-                    }
-                    move_ranks = congestion_dependency_graph(
-                        scenario.flows, capacities
-                    )
-                _install_expected_ranks(dep, scenario, move_ranks)
-        prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
-
-        with obs.spans.span("uim_fanout"):
-            update_ids = {}
-            for flow in scenario.flows:
-                update_ids[flow.flow_id] = dep.controller.update_flow(
-                    flow.flow_id, list(flow.new_path or []), move_ranks
-                )
-        with obs.spans.span("run_to_quiescence"):
-            dep.run()
-
-        with obs.spans.span("analysis"):
-            completed = dep.controller.all_updates_complete()
-            per_flow = _uniform_completion_times(dep.network, scenario, params)
-            durations = list(per_flow.values())
-    return ExperimentResult(
-        system="ezsegway",
-        completed=completed,
-        total_update_time_ms=max(durations) if durations else float("nan"),
-        per_flow_ms=per_flow,
-        prep_time_s=prep_time,
-        consistency_ok=checker.ok if checker else True,
-        violations=len(checker.violations) if checker else 0,
-    )
-
-
-def _install_expected_ranks(dep, scenario: UpdateScenario, move_ranks: dict) -> None:
-    """Tell every switch the static move order per outgoing link."""
-    per_link: dict[tuple[str, str], list[int]] = {}
-    for (_flow_id, (a, b)), rank in move_ranks.items():
-        per_link.setdefault((a, b), []).append(rank)
-    for (a, b), ranks in per_link.items():
-        if a in dep.switches:
-            dep.switches[a].expect_ranks(b, ranks)
-
-
-def _run_central(
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
-    params = params if params is not None else SimParams()
-    dep = build_central_network(
-        scenario.topology, params=params, congestion_aware=congestion_aware,
-        obs=obs,
-    )
-    checker = (
-        LiveChecker(dep.forwarding_state, dep.network.trace)
-        if check_consistency else None
-    )
-    for flow in scenario.flows:
-        dep.install_flow(flow)
-    with obs.spans.span(
-        "experiment", system="central", topology=scenario.topology.name,
-        flows=len(scenario.flows),
-    ):
-        started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("preparation"):
-            for flow in scenario.flows:
-                dep.controller.update_flow(flow.flow_id, list(flow.new_path or []))
-        prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("run_to_quiescence"):
-            dep.run()
-
-        with obs.spans.span("analysis"):
-            completed = dep.controller.all_updates_complete()
-            per_flow = _uniform_completion_times(dep.network, scenario, params)
-            durations = list(per_flow.values())
-    return ExperimentResult(
-        system="central",
-        completed=completed,
-        total_update_time_ms=max(durations) if durations else float("nan"),
-        per_flow_ms=per_flow,
-        prep_time_s=prep_time,
-        consistency_ok=checker.ok if checker else True,
-        violations=len(checker.violations) if checker else 0,
-        rounds=dep.controller.rounds_executed,
-    )
+def _ezsegway_move_ranks(dep, scenario: UpdateScenario, obs: ObsContext) -> dict:
+    """ez-Segway's centralized congestion dependency graph (the Fig. 8b
+    cost); every switch learns its links' static move order."""
+    with obs.spans.span("dependency_computation"):
+        capacities = {
+            frozenset((e.a, e.b)): e.capacity for e in scenario.topology.edges
+        }
+        move_ranks = congestion_dependency_graph(scenario.flows, capacities)
+    dep.expect_move_ranks(move_ranks)
+    return move_ranks
 
 
 def run_many(

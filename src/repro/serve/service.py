@@ -24,7 +24,6 @@ from repro.algos.registry import build_strategy_runtime
 from repro.chaos.campaign import TopoEvent
 from repro.chaos.runner import TOPOLOGIES, _apply_topo_event, trace_signature
 from repro.consistency.checker import LiveChecker
-from repro.harness.build import build_p4update_network
 from repro.obs.causal import CausalTracker, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.obs.registry import NullRegistry
@@ -229,14 +228,9 @@ def run_service(
     params = SimParams(seed=spec.seed)
     if spec.params:
         params = dataclasses.replace(params, **dict(spec.params))
-    if spec.strategy == "p4update":
-        # The default strategy calls the stock builder directly, so
-        # registry-era runs stay byte-identical to pre-registry runs.
-        deployment = build_p4update_network(topo, params=params, obs=obs)
-    else:
-        deployment = build_strategy_runtime(
-            spec.strategy, topo, params=params, obs=obs
-        )
+    deployment = build_strategy_runtime(
+        spec.strategy, topo, params=params, obs=obs
+    )
     deployment.set_congestion_aware(spec.congestion_aware)
     engine = deployment.network.engine
 

@@ -12,7 +12,7 @@ centroid controller for WANs, a measured distribution for fat-trees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -55,35 +55,3 @@ class ControlChannel:
 
     def delay(self) -> float:
         return self.latency_ms + self.overhead_ms
-
-
-@dataclass
-class LinkUsage:
-    """Mutable capacity bookkeeping for one directed link use.
-
-    The consistency checker uses this to assert congestion freedom over
-    time; switches keep their own local view in registers.
-    """
-
-    capacity: float
-    reserved: float = 0.0
-    flows: dict = field(default_factory=dict)
-
-    @property
-    def remaining(self) -> float:
-        return self.capacity - self.reserved
-
-    def reserve(self, flow_id: int, size: float) -> None:
-        if flow_id in self.flows:
-            return
-        self.flows[flow_id] = size
-        self.reserved += size
-
-    def release(self, flow_id: int) -> float:
-        size = self.flows.pop(flow_id, 0.0)
-        self.reserved -= size
-        return size
-
-    def violated(self) -> bool:
-        # Tolerate float round-off from repeated reserve/release.
-        return self.reserved > self.capacity + 1e-9

@@ -81,7 +81,7 @@ class Shard:
 
     index: int
     shard_id: str           # "s0007" — stable, sortable
-    kind: str               # experiment | chaos
+    kind: str               # one of SWEEP_KINDS
     key: dict               # the axis values selecting this shard
     seed: int               # derived per-shard seed (see module doc)
     payload: dict = field(repr=False)  # everything the worker needs

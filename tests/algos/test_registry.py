@@ -75,3 +75,73 @@ def test_fuzz_compete_lineups_are_registered():
         assert len(lineup) >= 2
         assert len(set(lineup)) == len(lineup)
         assert set(lineup) <= known
+
+
+# -- the strategy contract ------------------------------------------------------
+
+RING_FLOWS = (
+    # (src, dst, initial path, two successive targets)
+    ("n0", "n3", ["n0", "n1", "n2", "n3"],
+     (["n0", "n5", "n4", "n3"], ["n0", "n1", "n2", "n3"])),
+    ("n1", "n4", ["n1", "n2", "n3", "n4"],
+     (["n1", "n0", "n5", "n4"], ["n1", "n2", "n3", "n4"])),
+)
+
+
+def _ring_runtime(strategy):
+    from repro.algos.registry import build_strategy_runtime
+    from repro.params import SimParams
+    from repro.topo import ring_topology
+    from repro.traffic.flows import Flow
+
+    topo = ring_topology(6)
+    topo.set_controller("n0")
+    dep = build_strategy_runtime(strategy, topo, params=SimParams(seed=0))
+    flows = []
+    for src, dst, path, targets in RING_FLOWS:
+        flow = Flow.between(src, dst, size=1.0, old_path=list(path))
+        dep.install_flow(flow)
+        flows.append((flow, targets))
+    return dep, flows
+
+
+@pytest.mark.parametrize("strategy", strategy_names())
+def test_controller_speaks_the_contract_natively(strategy):
+    from repro.algos.base import StrategyController, StrategyRuntime
+    from repro.baselines import CentralController, EzSegwayController
+
+    dep, _ = _ring_runtime(strategy)
+    assert isinstance(dep, StrategyRuntime)
+    assert isinstance(dep.controller, StrategyController)
+    native = {"ezsegway": EzSegwayController, "central": CentralController}
+    if strategy in native:
+        assert type(dep.controller) is native[strategy]
+    # Completion comes from the controllers, never from a trace tap.
+    assert dep.network.trace._subscribers == []
+
+
+@pytest.mark.parametrize("strategy", strategy_names())
+def test_every_pushed_update_completes_exactly_once(strategy):
+    dep, flows = _ring_runtime(strategy)
+    controller = dep.controller
+    events = []
+    controller.update_listeners.append(
+        lambda event, flow_id, version: events.append((event, flow_id, version))
+    )
+    expected = []
+    for step in range(2):
+        for flow, targets in flows:
+            prepared = controller.prepare_update(flow.flow_id, list(targets[step]))
+            record = controller.flow_db[flow.flow_id]
+            assert record.pending_version == prepared.version
+            assert record.pending_path == list(targets[step])
+            controller.push_update(prepared)
+            expected.append(("completed", flow.flow_id, prepared.version))
+        dep.run()
+    assert sorted(events) == sorted(expected)
+    assert len(events) == len(set(events)) == 4
+    for flow, targets in flows:
+        record = controller.flow_db[flow.flow_id]
+        assert record.pending_version is None
+        assert record.current_path == list(targets[1])
+        assert not record.parked
