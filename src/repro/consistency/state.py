@@ -2,13 +2,21 @@
 
 ``ForwardingState`` tracks, per flow, each node's current next hop —
 the ground truth the consistency checker reasons about.  Switch agents
-mirror every rule change into it (via the trace or directly), so the
-checker sees exactly the mixed old/new states that arise mid-update.
+write every rule change into it with :meth:`ForwardingState.set_rule`
+the moment the data plane changes.  Most writes are followed by a
+``RULE_CHANGE`` trace event, but not all: initial deployment writes
+without one, and a two-phase tag flip writes a whole path before it
+records one event per hop.  So the state itself tells a reader what
+changed: :meth:`ForwardingState.watch` hands out a change set that
+every write marks.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
+
+#: The entry a change set receives when any link capacity changes.
+CAPACITY_CHANGED = "capacity"
 
 
 class ForwardingState:
@@ -22,12 +30,34 @@ class ForwardingState:
         self._flows: dict[int, tuple[tuple[str, ...], str, float]] = {}
         # frozenset({a,b}) -> capacity
         self._capacity: dict[frozenset, float] = {}
+        # One change set per watcher (see watch()).
+        self._watchers: list[set[Union[int, str]]] = []
+
+    # -- change tracking -------------------------------------------------------
+
+    def watch(self) -> set[Union[int, str]]:
+        """A new change set, pre-filled with every registered flow.
+
+        From now on every ``set_rule``, ``register_flow`` and
+        ``register_tree`` adds its flow id to the set, and every
+        ``set_capacity`` adds :data:`CAPACITY_CHANGED`.  The watcher
+        owns the set and empties it once it has caught up, so several
+        watchers of one state stay independent.
+        """
+        changes: set[Union[int, str]] = set(self._flows)
+        self._watchers.append(changes)
+        return changes
+
+    def _changed(self, item: Union[int, str]) -> None:
+        for changes in self._watchers:
+            changes.add(item)
 
     # -- flows ---------------------------------------------------------------
 
     def register_flow(self, flow_id: int, ingress: str, egress: str, size: float) -> None:
         self._flows[flow_id] = ((ingress,), egress, size)
         self._next_hop.setdefault(flow_id, {})
+        self._changed(flow_id)
 
     def register_tree(
         self, tree_id: int, leaves: list[str], egress: str, size: float
@@ -36,9 +66,13 @@ class ForwardingState:
         every source, walked from each leaf."""
         self._flows[tree_id] = (tuple(leaves), egress, size)
         self._next_hop.setdefault(tree_id, {})
+        self._changed(tree_id)
 
     def flow_ids(self) -> list[int]:
         return sorted(self._flows)
+
+    def has_flow(self, flow_id: int) -> bool:
+        return flow_id in self._flows
 
     def flow_info(self, flow_id: int) -> tuple[str, str, float]:
         ingresses, egress, size = self._flows[flow_id]
@@ -56,6 +90,7 @@ class ForwardingState:
             rules.pop(node, None)
         else:
             rules[node] = next_hop
+        self._changed(flow_id)
 
     def next_hop(self, flow_id: int, node: str) -> Optional[str]:
         return self._next_hop.get(flow_id, {}).get(node)
@@ -67,6 +102,7 @@ class ForwardingState:
 
     def set_capacity(self, a: str, b: str, capacity: float) -> None:
         self._capacity[frozenset((a, b))] = capacity
+        self._changed(CAPACITY_CHANGED)
 
     def capacity(self, a: str, b: str) -> float:
         return self._capacity.get(frozenset((a, b)), float("inf"))

@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bumped whenever the checkpoint payload layout changes; a mismatch
 #: on load is an error (old checkpoints do not silently restore).
-CHECKPOINT_FORMAT = 1
+#: Format 2: the live checker carries its incremental caches.
+CHECKPOINT_FORMAT = 2
 
 _MANIFEST = "checkpoints.json"
 _STATUS = "status.json"
